@@ -1,6 +1,7 @@
-// Google-benchmark microbenchmarks of the library's hot paths: region
-// simulation, store finalization, KM fitting, log-rank testing, feature
-// extraction, and random-forest training / inference.
+// Google-benchmark microbenchmarks of the library's hot paths: random
+// number generation, region simulation, store finalization, KM fitting,
+// log-rank testing, feature extraction, and random-forest training /
+// inference.
 
 #include <benchmark/benchmark.h>
 
@@ -37,6 +38,34 @@ survival::SurvivalData RandomSurvival(size_t n) {
   }
   return std::move(survival::SurvivalData::Make(std::move(obs))).value();
 }
+
+// The simulator's regime: a fork per entity that draws a few numbers.
+void BM_RngFork(benchmark::State& state) {
+  const int draws = static_cast<int>(state.range(0));
+  const Rng parent(17);
+  uint64_t salt = 0;
+  for (auto _ : state) {
+    Rng rng = parent.Fork(++salt);
+    double sum = 0.0;
+    for (int k = 0; k < draws; ++k) sum += rng.Uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngFork)->Arg(1)->Arg(16)->Arg(64);
+
+// The training regime: one long stream (bulk block twists).
+void BM_RngStream(benchmark::State& state) {
+  constexpr int kDraws = 1000000;
+  for (auto _ : state) {
+    Rng rng(17);
+    double sum = 0.0;
+    for (int k = 0; k < kDraws; ++k) sum += rng.Uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kDraws);
+}
+BENCHMARK(BM_RngStream)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateRegion(benchmark::State& state) {
   const size_t subs = static_cast<size_t>(state.range(0));

@@ -53,6 +53,7 @@ Result<LongevityService> LongevityService::Train(
   }
   LongevityService service;
   service.options_ = options;
+  service.CompileFeaturePlan();
 
   // Pooled fallback first; it must exist.
   auto pooled = TrainOne(history, std::nullopt, options);
@@ -80,6 +81,13 @@ const LongevityService::ModelSlot& LongevityService::SlotFor(
   const ModelSlot& slot =
       edition_models_[static_cast<size_t>(edition)];
   return slot.present ? slot : pooled_model_;
+}
+
+void LongevityService::CompileFeaturePlan() {
+  features::FeatureConfig feature_config = options_.feature_config;
+  feature_config.observation_days = options_.observe_days;
+  auto plan = features::FeaturePlan::Compile(feature_config);
+  feature_plan_ = plan.ok() ? *std::move(plan) : features::FeaturePlan();
 }
 
 bool LongevityService::HasEditionModel(Edition edition) const {
@@ -152,58 +160,83 @@ Result<std::vector<std::optional<LongevityService::Assessment>>>
 LongevityService::AssessMany(const TelemetryStore& store,
                              const std::vector<telemetry::DatabaseId>& ids,
                              const ml::FlatForest::BatchOptions& batch) const {
+  const AssessSegment segment{&store, ids};
+  return AssessMany(std::span<const AssessSegment>(&segment, 1), batch);
+}
+
+Result<std::vector<std::optional<LongevityService::Assessment>>>
+LongevityService::AssessMany(std::span<const AssessSegment> segments,
+                             const ml::FlatForest::BatchOptions& batch) const {
   if (!pooled_model_.present) {
     return Status::FailedPrecondition("service is not trained");
   }
-  std::vector<std::optional<Assessment>> out(ids.size());
-  features::FeatureConfig feature_config = options_.feature_config;
-  feature_config.observation_days = options_.observe_days;
-  auto plan_or = features::FeaturePlan::Compile(feature_config);
-  if (!plan_or.ok()) {
+  size_t total = 0;
+  for (const AssessSegment& segment : segments) total += segment.ids.size();
+  std::vector<std::optional<Assessment>> out(total);
+  if (!feature_plan_.compiled()) {
     // A config the plan rejects is one every per-id extraction would
     // reject too, and per-id Assess maps that to nullopt.
     return out;
   }
-  const features::FeaturePlan& plan = *plan_or;
+  const features::FeaturePlan& plan = feature_plan_;
   const size_t width = plan.num_features();
 
   // Group ids by resolved model slot so every group is extracted and
   // scored in one fused batch (at most kNumEditions + 1 groups): one
   // pass fills a reused row-major matrix, which feeds the compiled
-  // forest directly — no per-row vectors, no intermediate Dataset.
+  // forest directly — no per-row vectors, no intermediate Dataset. A
+  // group's rows keep segment order, so each segment's rows form one
+  // contiguous run, extracted from that segment's store.
+  struct Run {
+    size_t segment = 0;
+    size_t begin = 0;  ///< First row of the run within the group.
+    size_t end = 0;
+  };
   struct Group {
     const ModelSlot* slot = nullptr;
     std::string model_name;
     std::vector<telemetry::DatabaseId> group_ids;
-    std::vector<size_t> positions;  ///< Index into ids/out.
+    std::vector<size_t> positions;  ///< Index into out.
+    std::vector<Run> runs;
   };
   std::vector<Group> groups;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto record = store.FindDatabase(ids[i]);
-    if (!record.ok()) continue;  // nullopt, as per-id Assess would fail
-    const Edition edition = (*record).initial_edition();
-    const ModelSlot& slot = SlotFor(edition);
-    Group* group = nullptr;
-    for (auto& g : groups) {
-      if (g.slot == &slot) {
-        group = &g;
-        break;
+  size_t first_position = 0;
+  for (size_t s = 0; s < segments.size(); ++s) {
+    const AssessSegment& segment = segments[s];
+    for (size_t i = 0; i < segment.ids.size(); ++i) {
+      auto record = segment.store->FindDatabase(segment.ids[i]);
+      if (!record.ok()) continue;  // nullopt, as per-id Assess would fail
+      const Edition edition = (*record).initial_edition();
+      const ModelSlot& slot = SlotFor(edition);
+      Group* group = nullptr;
+      for (auto& g : groups) {
+        if (g.slot == &slot) {
+          group = &g;
+          break;
+        }
       }
+      if (group == nullptr) {
+        groups.emplace_back();
+        group = &groups.back();
+        group->slot = &slot;
+        group->model_name = &slot == &pooled_model_
+                                ? "pooled"
+                                : telemetry::EditionToString(edition);
+      }
+      const size_t row = group->group_ids.size();
+      if (group->runs.empty() || group->runs.back().segment != s) {
+        group->runs.push_back(Run{s, row, row});
+      }
+      ++group->runs.back().end;
+      group->group_ids.push_back(segment.ids[i]);
+      group->positions.push_back(first_position + i);
     }
-    if (group == nullptr) {
-      groups.emplace_back();
-      group = &groups.back();
-      group->slot = &slot;
-      group->model_name = &slot == &pooled_model_
-                              ? "pooled"
-                              : telemetry::EditionToString(edition);
-    }
-    group->group_ids.push_back(ids[i]);
-    group->positions.push_back(i);
+    first_position += segment.ids.size();
   }
 
   std::vector<double> matrix;
   std::vector<uint8_t> row_ok;
+  std::vector<uint8_t> run_ok;
   std::vector<double> dense;
   std::vector<double> probs;
   std::vector<double> row_copy;
@@ -211,11 +244,19 @@ LongevityService::AssessMany(const TelemetryStore& store,
   for (auto& group : groups) {
     const size_t group_size = group.group_ids.size();
     matrix.assign(group_size * width, 0.0);
+    row_ok.resize(group_size);
     // No pool here: AssessMany runs inside the serving engine's own
     // pool workers, and nested submission into a bounded queue could
-    // deadlock. The caller parallelizes across shard batches instead.
-    CLOUDSURV_RETURN_NOT_OK(plan.ExtractBatchPartial(
-        store, group.group_ids, matrix.data(), &row_ok, /*pool=*/nullptr));
+    // deadlock. The caller parallelizes across shard groups instead.
+    const std::span<const telemetry::DatabaseId> group_ids(group.group_ids);
+    for (const Run& run : group.runs) {
+      CLOUDSURV_RETURN_NOT_OK(plan.ExtractBatchPartial(
+          *segments[run.segment].store,
+          group_ids.subspan(run.begin, run.end - run.begin),
+          matrix.data() + run.begin * width, &run_ok, /*pool=*/nullptr));
+      std::copy(run_ok.begin(), run_ok.end(),
+                row_ok.begin() + static_cast<ptrdiff_t>(run.begin));
+    }
     scored_positions.clear();
     size_t num_rows = 0;
     for (size_t k = 0; k < group_size; ++k) {
@@ -430,6 +471,7 @@ Result<LongevityService> LongevityService::Load(const std::string& text) {
       return Status::InvalidArgument("unknown service key: " + key);
     }
   }
+  service.CompileFeaturePlan();
   if (!service.pooled_model_.present) {
     return Status::InvalidArgument("saved service lacks a pooled model");
   }
@@ -580,6 +622,7 @@ Result<LongevityService> LongevityService::LoadArtifact(
         std::to_string(meta.num_models) + " models, found " +
         std::to_string(loaded));
   }
+  service.CompileFeaturePlan();
   if (!service.pooled_model_.present) {
     return Status::InvalidArgument(path +
                                    ": artifact lacks a pooled model");

@@ -3,11 +3,13 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "artifact/reader.h"
 #include "core/provisioning.h"
+#include "features/feature_plan.h"
 #include "features/features.h"
 #include "ml/flat_forest.h"
 #include "ml/random_forest.h"
@@ -62,14 +64,28 @@ class LongevityService {
   Result<Assessment> Assess(const telemetry::TelemetryStore& store,
                             telemetry::DatabaseId id) const;
 
-  /// Scores many databases of `store` in one pass: feature rows are
-  /// grouped per resolved model slot and pushed through the compiled
-  /// `ml::FlatForest` with `batch` (block size, traversal kernel;
-  /// legacy per-row scoring when CompileForInference has not run).
-  /// `out[i]` is nullopt exactly
-  /// when per-id Assess(ids[i]) would fail (unknown id, too little
-  /// telemetry); every produced Assessment is bit-identical to the
-  /// per-id call.
+  /// The databases `ids` of one `store`: one part of a multi-store
+  /// AssessMany call.
+  struct AssessSegment {
+    const telemetry::TelemetryStore* store = nullptr;
+    std::span<const telemetry::DatabaseId> ids;
+  };
+
+  /// Scores the databases of several stores in one pass. Rows of every
+  /// segment are grouped per resolved model slot, extracted into that
+  /// slot's matrix (each segment's rows from its own store) and pushed
+  /// through the compiled `ml::FlatForest` in one call per slot with
+  /// `batch` (block size, traversal kernel; legacy per-row scoring when
+  /// CompileForInference has not run). `out` holds one entry per id,
+  /// segments concatenated in order; an entry is nullopt exactly when
+  /// per-id Assess on that segment's store would fail (unknown id, too
+  /// little telemetry). Every produced Assessment is bit-identical to
+  /// the per-id call.
+  Result<std::vector<std::optional<Assessment>>> AssessMany(
+      std::span<const AssessSegment> segments,
+      const ml::FlatForest::BatchOptions& batch = {}) const;
+
+  /// The one-segment AssessMany: scores `ids` of `store`.
   Result<std::vector<std::optional<Assessment>>> AssessMany(
       const telemetry::TelemetryStore& store,
       const std::vector<telemetry::DatabaseId>& ids,
@@ -143,7 +159,15 @@ class LongevityService {
 
   const ModelSlot& SlotFor(telemetry::Edition edition) const;
 
+  /// Compiles feature_plan_ from options_; call whenever options_ is
+  /// set. A config the plan rejects leaves it uncompiled.
+  void CompileFeaturePlan();
+
   Options options_;
+  /// The extraction plan AssessMany uses, compiled once per service.
+  /// Uncompiled iff the plan rejects the config, in which case every
+  /// per-id extraction fails too and AssessMany returns all nullopt.
+  features::FeaturePlan feature_plan_;
   std::array<ModelSlot, telemetry::kNumEditions> edition_models_;
   ModelSlot pooled_model_;
 };

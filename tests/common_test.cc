@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -142,6 +146,117 @@ TEST(RngTest, BernoulliRespectsProbability) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+// std::mt19937_64 is the oracle for MersenneTwister64: the engine must
+// reproduce the standard engine's stream draw for draw.
+
+// Rng's seed mixing (SplitMix64 finalizer), restated so the oracle can be
+// seeded the way Rng seeds its engine.
+uint64_t SplitMix(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+TEST(MersenneTwister64Test, MatchesStandardEngineAcrossBlockBoundaries) {
+  // 1,000 draws cross the first (312) and second (624) block boundaries:
+  // the lazy first block, the first bulk twist and a steady-state one.
+  for (uint64_t i = 0; i < 1000; ++i) {
+    // Small seeds and full-width ones (every state word's high bits).
+    const uint64_t seed = i % 2 == 0 ? i : SplitMix(i);
+    MersenneTwister64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    for (int k = 0; k < 1000; ++k) {
+      ASSERT_EQ(engine(), oracle()) << "seed " << seed << " draw " << k;
+    }
+  }
+}
+
+TEST(MersenneTwister64Test, KnownAnswerForDefaultSeed) {
+  // The C++ standard ([rand.predef]): the 10,000th consecutive output of
+  // a default-constructed mt19937_64 is 9981545732273789042.
+  MersenneTwister64 engine;
+  uint64_t value = 0;
+  for (int k = 0; k < 10000; ++k) value = engine();
+  EXPECT_EQ(value, 9981545732273789042ULL);
+  EXPECT_EQ(MersenneTwister64::default_seed, std::mt19937_64::default_seed);
+  EXPECT_EQ(MersenneTwister64::min(), std::mt19937_64::min());
+  EXPECT_EQ(MersenneTwister64::max(), std::mt19937_64::max());
+}
+
+TEST(MersenneTwister64Test, CopiesContinueIdentically) {
+  // Copies taken before any draw, mid first block (before and after the
+  // last word is seeded), at the block boundaries and in the second block.
+  for (const int drawn : {0, 1, 5, 155, 156, 157, 311, 312, 313, 700}) {
+    MersenneTwister64 engine(77);
+    std::mt19937_64 oracle(77);
+    for (int k = 0; k < drawn; ++k) {
+      engine();
+      oracle();
+    }
+    const MersenneTwister64 copied(engine);
+    MersenneTwister64 assigned(1);
+    for (int k = 0; k < 400; ++k) assigned();  // state to overwrite
+    assigned = engine;
+    MersenneTwister64 constructed = copied;
+    for (int k = 0; k < 1000; ++k) {
+      const uint64_t want = oracle();
+      ASSERT_EQ(engine(), want) << "drawn " << drawn << " draw " << k;
+      ASSERT_EQ(assigned(), want) << "drawn " << drawn << " draw " << k;
+      ASSERT_EQ(constructed(), want) << "drawn " << drawn << " draw " << k;
+    }
+  }
+}
+
+TEST(MersenneTwister64Test, ShuffleMatchesStandardEngine) {
+  for (uint64_t seed : {0ULL, 3ULL, 12345ULL}) {
+    std::vector<int> got(1000), want(1000);
+    std::iota(got.begin(), got.end(), 0);
+    std::iota(want.begin(), want.end(), 0);
+    Rng rng(seed);
+    std::mt19937_64 oracle(SplitMix(seed));
+    std::shuffle(got.begin(), got.end(), rng.engine());
+    std::shuffle(want.begin(), want.end(), oracle);
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+TEST(MersenneTwister64Test, EveryRngSamplerMatchesStandardEngine) {
+  // Rng(seed) draws from the engine seeded with SplitMix(seed); a fork
+  // is Rng(SplitMix(seed ^ salt * golden)). Interleaving every sampler
+  // for 400 rounds consumes well past one 312-word block.
+  for (const bool forked : {false, true}) {
+    Rng rng = forked ? Rng(21).Fork(4) : Rng(21);
+    const uint64_t base =
+        forked ? SplitMix(21 ^ (4 * 0x9E3779B97F4A7C15ULL)) : 21;
+    std::mt19937_64 oracle(SplitMix(base));
+    for (int k = 0; k < 400; ++k) {
+      ASSERT_EQ(rng.Uniform(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(oracle));
+      ASSERT_EQ(rng.Uniform(-2.0, 5.0),
+                std::uniform_real_distribution<double>(-2.0, 5.0)(oracle));
+      ASSERT_EQ(rng.UniformInt(-7, 1000),
+                std::uniform_int_distribution<int64_t>(-7, 1000)(oracle));
+      ASSERT_EQ(rng.Bernoulli(0.3),
+                std::bernoulli_distribution(0.3)(oracle));
+      ASSERT_EQ(rng.Normal(1.0, 2.0),
+                std::normal_distribution<double>(1.0, 2.0)(oracle));
+      ASSERT_EQ(rng.LogNormal(0.5, 1.5),
+                std::lognormal_distribution<double>(0.5, 1.5)(oracle));
+      ASSERT_EQ(rng.Exponential(0.25),
+                std::exponential_distribution<double>(0.25)(oracle));
+      ASSERT_EQ(rng.Weibull(1.5, 30.0),
+                std::weibull_distribution<double>(1.5, 30.0)(oracle));
+      // Small and large means take different std::poisson_distribution
+      // branches (multiplication vs rejection).
+      ASSERT_EQ(rng.Poisson(3.0),
+                std::poisson_distribution<int64_t>(3.0)(oracle));
+      ASSERT_EQ(rng.Poisson(80.0),
+                std::poisson_distribution<int64_t>(80.0)(oracle));
+    }
+  }
 }
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {

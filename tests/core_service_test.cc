@@ -1,4 +1,8 @@
 #include "core/service.h"
+
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "ml/metrics.h"
 #include "simulator/region.h"
@@ -127,6 +131,84 @@ TEST(LongevityServiceTest, PlanPlacementsCoversConfidentDatabases) {
   EXPECT_GT(plan->pools.size(), 500u);
   for (const auto& [id, pool] : plan->pools) {
     EXPECT_NE(pool, Pool::kGeneral);  // only confident placements stored
+  }
+}
+
+TEST(LongevityServiceTest, MultiStoreAssessManyMatchesPerIdAssess) {
+  // Segments from two stores (whose database ids overlap), an unknown id
+  // and an empty segment: each entry must equal per-id Assess on its own
+  // segment's store, or be nullopt exactly where that call fails.
+  const auto& service = TrainedService();
+  static const TelemetryStore* other = [] {
+    auto config = simulator::MakeRegionPreset(2, 300, 5);
+    auto s = simulator::SimulateRegion(*config);
+    EXPECT_TRUE(s.ok()) << s.status();
+    return new TelemetryStore(std::move(s).value());
+  }();
+  auto ids_of = [](const TelemetryStore& store, size_t first, size_t count) {
+    std::vector<telemetry::DatabaseId> ids;
+    for (size_t i = first; i < store.databases().size() && ids.size() < count;
+         ++i) {
+      ids.push_back(store.databases()[i].id);
+    }
+    return ids;
+  };
+  std::vector<telemetry::DatabaseId> a = ids_of(HistoryStore(), 0, 300);
+  a.push_back(987654321);  // unknown
+  const std::vector<telemetry::DatabaseId> b = ids_of(*other, 0, 250);
+  const std::vector<telemetry::DatabaseId> c = ids_of(HistoryStore(), 300, 200);
+  const std::vector<telemetry::DatabaseId> none;
+  const std::vector<LongevityService::AssessSegment> segments = {
+      {&HistoryStore(), a}, {other, b}, {other, none}, {&HistoryStore(), c}};
+  auto batch = service.AssessMany(segments);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->size(), a.size() + b.size() + c.size());
+  size_t position = 0;
+  size_t scored = 0;
+  for (const auto& segment : segments) {
+    for (const telemetry::DatabaseId id : segment.ids) {
+      const auto& got = (*batch)[position++];
+      auto want = service.Assess(*segment.store, id);
+      ASSERT_EQ(got.has_value(), want.ok()) << "db " << id;
+      if (!want.ok()) continue;
+      ++scored;
+      EXPECT_EQ(got->predicted_label, want->predicted_label);
+      EXPECT_EQ(got->positive_probability, want->positive_probability);
+      EXPECT_EQ(got->confident, want->confident);
+      EXPECT_EQ(got->confidence_threshold, want->confidence_threshold);
+      EXPECT_EQ(got->recommended_pool, want->recommended_pool);
+      EXPECT_EQ(got->model_name, want->model_name);
+    }
+  }
+  EXPECT_GT(scored, 300u);
+  EXPECT_FALSE((*batch)[a.size() - 1].has_value());  // the unknown id
+}
+
+TEST(LongevityServiceTest, AssessManyUnderRejectedPlanConfigIsAllNullopt) {
+  // A service whose observation window the feature plan rejects: every
+  // per-id extraction fails, so AssessMany maps every id to nullopt.
+  const std::string blob = TrainedService().Save();
+  const std::string key = "observe_days ";
+  const size_t at = blob.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const size_t line_end = blob.find('\n', at);
+  for (const char* days : {"0", "-1"}) {
+    const std::string text = blob.substr(0, at) + key + days +
+                             blob.substr(line_end);
+    auto service = LongevityService::Load(text);
+    ASSERT_TRUE(service.ok()) << service.status();
+    std::vector<telemetry::DatabaseId> ids;
+    for (const auto& record : HistoryStore().databases()) {
+      ids.push_back(record.id);
+      if (ids.size() >= 50) break;
+    }
+    auto batch = service->AssessMany(HistoryStore(), ids);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch->size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_FALSE((*batch)[i].has_value()) << "days " << days;
+      EXPECT_FALSE(service->Assess(HistoryStore(), ids[i]).ok());
+    }
   }
 }
 
