@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(size_t num_threads, size_t queue_capacity,
           "tasks")),
       tasks_total_(obs::Registry::Default().GetCounter(
           "cloudsurv_pool_tasks_total",
-          "Tasks run to completion across all thread pools", "tasks")),
+          "Tasks started by a worker across all thread pools", "tasks")),
       task_wait_us_(obs::Registry::Default().GetHistogram(
           "cloudsurv_pool_task_wait_us",
           "Time a task spent queued before a worker picked it up")),
@@ -105,6 +105,10 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++active_tasks_;
+      // Counted when taken, so a reader right after a Submit() future
+      // becomes ready already sees its task.
+      ++tasks_executed_;
+      tasks_total_->Increment();
       queue_depth_gauge_->Add(-1.0);
       queue_not_full_.notify_one();
     }
@@ -131,11 +135,9 @@ void ThreadPool::WorkerLoop() {
     task_run_us_->Observe(std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - started_at)
                               .count());
-    tasks_total_->Increment();
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_tasks_;
-      ++tasks_executed_;
       if (failed) ++tasks_failed_;
       if (queue_.empty() && active_tasks_ == 0) all_idle_.notify_all();
     }

@@ -90,7 +90,8 @@ class ThreadPool {
   /// Current number of queued-but-not-started tasks.
   size_t queue_depth() const;
 
-  /// Tasks that ran to completion (including ones that threw).
+  /// Tasks a worker has taken from the queue (including ones that threw
+  /// or are still running), counted before the task body runs.
   uint64_t tasks_executed() const;
 
   /// Tasks whose exception was swallowed at the task boundary.

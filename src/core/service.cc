@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 
 #include "artifact/format.h"
@@ -18,29 +19,48 @@ namespace {
 using telemetry::Edition;
 using telemetry::TelemetryStore;
 
-Result<std::pair<ml::RandomForestClassifier, double>> TrainOne(
-    const TelemetryStore& history, std::optional<Edition> edition,
-    const LongevityService::Options& options) {
+using EditionRows = std::array<std::vector<size_t>, telemetry::kNumEditions>;
+
+// The pooled prediction cohort's dataset, and each edition's rows of it.
+// An edition's cohort is the pooled cohort filtered by creation edition,
+// in the same order, so those rows are its own cohort's dataset.
+Result<ml::Dataset> PooledDataset(const TelemetryStore& history,
+                                  const LongevityService::Options& options,
+                                  EditionRows& edition_rows) {
   CLOUDSURV_ASSIGN_OR_RETURN(
       PredictionCohort cohort,
       BuildPredictionCohort(history, options.observe_days,
-                            options.long_threshold_days, edition));
+                            options.long_threshold_days));
   if (cohort.ids.size() < options.min_cohort_size) {
     return Status::FailedPrecondition("cohort too small");
   }
+  for (size_t i = 0; i < cohort.editions.size(); ++i) {
+    edition_rows[static_cast<size_t>(cohort.editions[i])].push_back(i);
+  }
   features::FeatureConfig feature_config = options.feature_config;
   feature_config.observation_days = options.observe_days;
-  CLOUDSURV_ASSIGN_OR_RETURN(
-      ml::Dataset dataset,
-      features::BuildDataset(history, cohort.ids, cohort.labels,
-                             feature_config));
-  const double q = dataset.ClassFraction(1);
-  if (q == 0.0 || q == 1.0) {
+  return features::BuildDataset(history, cohort.ids, cohort.labels,
+                                feature_config);
+}
+
+// Fits one model slot on `rows` of `dataset`; returns the forest and its
+// confidence threshold max(q, 1-q).
+Result<std::pair<ml::RandomForestClassifier, double>> TrainSlot(
+    const ml::Dataset& dataset, const std::vector<size_t>& rows,
+    const LongevityService::Options& options) {
+  if (rows.size() < options.min_cohort_size) {
+    return Status::FailedPrecondition("cohort too small");
+  }
+  size_t positives = 0;
+  for (size_t r : rows) positives += dataset.label(r) == 1 ? 1 : 0;
+  if (positives == 0 || positives == rows.size()) {
     return Status::FailedPrecondition("single-class cohort");
   }
+  const double q =
+      static_cast<double>(positives) / static_cast<double>(rows.size());
   ml::RandomForestClassifier forest;
-  CLOUDSURV_RETURN_NOT_OK(
-      forest.Fit(dataset, options.forest_params, options.seed));
+  CLOUDSURV_RETURN_NOT_OK(forest.FitOnRows(
+      dataset, rows, options.forest_params, options.seed));
   return std::make_pair(std::move(forest), std::max(q, 1.0 - q));
 }
 
@@ -56,17 +76,24 @@ Result<LongevityService> LongevityService::Train(
   service.CompileFeaturePlan();
 
   // Pooled fallback first; it must exist.
-  auto pooled = TrainOne(history, std::nullopt, options);
-  if (!pooled.ok()) {
-    return Status::FailedPrecondition(
-        "cannot train pooled model: " + pooled.status().message());
-  }
+  auto pooled_failure = [](const Status& status) {
+    return Status::FailedPrecondition("cannot train pooled model: " +
+                                      status.message());
+  };
+  EditionRows edition_rows;
+  auto dataset = PooledDataset(history, options, edition_rows);
+  if (!dataset.ok()) return pooled_failure(dataset.status());
+  std::vector<size_t> all(dataset->num_rows());
+  std::iota(all.begin(), all.end(), 0);
+  auto pooled = TrainSlot(*dataset, all, options);
+  if (!pooled.ok()) return pooled_failure(pooled.status());
   service.pooled_model_.present = true;
   service.pooled_model_.forest = std::move(pooled->first);
   service.pooled_model_.threshold = pooled->second;
 
   for (int e = 0; e < telemetry::kNumEditions; ++e) {
-    auto slot = TrainOne(history, static_cast<Edition>(e), options);
+    auto slot =
+        TrainSlot(*dataset, edition_rows[static_cast<size_t>(e)], options);
     if (!slot.ok()) continue;  // fall back to pooled for this edition
     auto& model = service.edition_models_[static_cast<size_t>(e)];
     model.present = true;

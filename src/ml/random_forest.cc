@@ -146,7 +146,18 @@ Status RandomForestClassifier::FitOnRows(const Dataset& data,
     return trees_[ti].FitSubset(data, sample_rows, tree_params,
                                 tree_seeds[ti]);
   };
-  auto worker = [&]() {
+  // Runs fn(w) for w in [0, hw), on hw threads when hw > 1.
+  auto run_workers = [hw](const auto& fn) {
+    if (hw <= 1) {
+      fn(0u);
+      return;
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(hw);
+    for (unsigned w = 0; w < hw; ++w) threads.emplace_back(fn, w);
+    for (auto& th : threads) th.join();
+  };
+  run_workers([&](unsigned) {
     while (true) {
       const size_t ti = next_tree.fetch_add(1);
       if (ti >= t || failed.load()) return;
@@ -157,15 +168,7 @@ Status RandomForestClassifier::FitOnRows(const Dataset& data,
         return;
       }
     }
-  };
-  if (hw <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(hw);
-    for (unsigned i = 0; i < hw; ++i) threads.emplace_back(worker);
-    for (auto& th : threads) th.join();
-  }
+  });
   if (failed.load()) {
     trees_.clear();
     return first_error;
@@ -179,31 +182,45 @@ Status RandomForestClassifier::FitOnRows(const Dataset& data,
   }
   for (double& v : importances_) v /= static_cast<double>(t);
 
-  // Out-of-bag accuracy.
+  // Out-of-bag accuracy. Workers score contiguous row blocks; each row
+  // sums its out-of-bag trees in index order, so the vote and the
+  // integer totals do not depend on the thread count.
+  oob_accuracy_ = 0.0;
   if (params.bootstrap) {
-    size_t evaluated = 0;
-    size_t correct = 0;
-    std::vector<double> acc(static_cast<size_t>(num_classes_));
-    for (size_t i = 0; i < n; ++i) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      size_t votes = 0;
-      for (size_t ti = 0; ti < t; ++ti) {
-        if (in_bag[ti][i]) continue;
-        const auto& probs = trees_[ti].LeafDistribution(data.row(rows[i]));
-        for (size_t c = 0; c < acc.size(); ++c) acc[c] += probs[c];
-        ++votes;
+    std::vector<size_t> evaluated(hw, 0);
+    std::vector<size_t> correct(hw, 0);
+    run_workers([&](unsigned w) {
+      const size_t lo = n * w / hw;
+      const size_t hi = n * (w + 1) / hw;
+      std::vector<double> acc(static_cast<size_t>(num_classes_));
+      size_t block_evaluated = 0;
+      size_t block_correct = 0;
+      for (size_t i = lo; i < hi; ++i) {
+        std::fill(acc.begin(), acc.end(), 0.0);
+        size_t votes = 0;
+        for (size_t ti = 0; ti < t; ++ti) {
+          if (in_bag[ti][i]) continue;
+          const auto& probs = trees_[ti].LeafDistribution(data.row(rows[i]));
+          for (size_t c = 0; c < acc.size(); ++c) acc[c] += probs[c];
+          ++votes;
+        }
+        if (votes == 0) continue;
+        const int pred = static_cast<int>(
+            std::max_element(acc.begin(), acc.end()) - acc.begin());
+        ++block_evaluated;
+        if (pred == data.label(rows[i])) ++block_correct;
       }
-      if (votes == 0) continue;
-      const int pred = static_cast<int>(
-          std::max_element(acc.begin(), acc.end()) - acc.begin());
-      ++evaluated;
-      if (pred == data.label(rows[i])) ++correct;
+      evaluated[w] = block_evaluated;
+      correct[w] = block_correct;
+    });
+    const size_t total_evaluated =
+        std::accumulate(evaluated.begin(), evaluated.end(), size_t{0});
+    const size_t total_correct =
+        std::accumulate(correct.begin(), correct.end(), size_t{0});
+    if (total_evaluated > 0) {
+      oob_accuracy_ = static_cast<double>(total_correct) /
+                      static_cast<double>(total_evaluated);
     }
-    oob_accuracy_ = evaluated == 0 ? 0.0
-                                   : static_cast<double>(correct) /
-                                         static_cast<double>(evaluated);
-  } else {
-    oob_accuracy_ = 0.0;
   }
   return Status::OK();
 }

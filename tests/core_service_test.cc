@@ -3,6 +3,9 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
+#include "core/cohort.h"
+#include "features/features.h"
 #include "gtest/gtest.h"
 #include "ml/metrics.h"
 #include "simulator/region.h"
@@ -229,6 +232,48 @@ TEST(LongevityServiceTest, SaveLoadRoundTrip) {
     if (++checked >= 200) break;
   }
   EXPECT_EQ(restored->Save(), blob);
+}
+
+TEST(LongevityServiceTest, TrainMatchesPerEditionDatasetReference) {
+  // Reference: every slot builds its own cohort and dataset and fits on
+  // all of it. Train builds the pooled dataset once and fits each
+  // edition on its rows; the saved text must be byte-identical.
+  const auto& store = HistoryStore();
+  const LongevityService::Options options = FastOptions();
+  features::FeatureConfig feature_config = options.feature_config;
+  feature_config.observation_days = options.observe_days;
+  std::string want = "longevity_service v1\n";
+  want += "observe_days " + FormatDouble(options.observe_days, 6) + "\n";
+  want += "long_threshold_days " +
+          FormatDouble(options.long_threshold_days, 6) + "\n";
+  size_t edition_models = 0;
+  auto append_slot = [&](const std::string& name,
+                         std::optional<telemetry::Edition> edition) {
+    auto cohort = BuildPredictionCohort(store, options.observe_days,
+                                        options.long_threshold_days, edition);
+    ASSERT_TRUE(cohort.ok()) << cohort.status();
+    if (cohort->ids.size() < options.min_cohort_size) return;
+    auto dataset = features::BuildDataset(store, cohort->ids, cohort->labels,
+                                          feature_config);
+    ASSERT_TRUE(dataset.ok()) << dataset.status();
+    const double q = dataset->ClassFraction(1);
+    if (q == 0.0 || q == 1.0) return;
+    ml::RandomForestClassifier forest;
+    ASSERT_TRUE(forest.Fit(*dataset, options.forest_params, options.seed).ok());
+    const std::string blob = forest.Serialize();
+    want += "model " + name + " " + FormatDouble(std::max(q, 1.0 - q), 17) +
+            "\n";
+    want += "blob_bytes " + std::to_string(blob.size()) + "\n";
+    want += blob;
+    if (edition.has_value()) ++edition_models;
+  };
+  append_slot("pooled", std::nullopt);
+  for (int e = 0; e < telemetry::kNumEditions; ++e) {
+    const auto edition = static_cast<telemetry::Edition>(e);
+    append_slot(telemetry::EditionToString(edition), edition);
+  }
+  ASSERT_GE(edition_models, 2u);
+  EXPECT_TRUE(TrainedService().Save() == want);
 }
 
 TEST(LongevityServiceTest, LoadRejectsGarbage) {

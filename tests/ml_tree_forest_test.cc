@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -55,6 +56,41 @@ Dataset NoisyData(int n, uint64_t seed) {
     labels.push_back(label);
   }
   auto d = Dataset::Make({"x", "noise"}, std::move(rows), std::move(labels));
+  EXPECT_TRUE(d.ok());
+  return *d;
+}
+
+// 30 features drawn from the raw engine bits (no std distribution, so
+// the data is the same under any standard library): five continuous
+// signal features, five discrete ones with a few levels (empty in-node
+// bins exercise the refined thresholds), one constant column and
+// continuous noise. Wide enough that sqrt/log2 trees search at most half
+// of the features at a node.
+Dataset WideData(int n, uint64_t seed) {
+  Rng rng(seed);
+  auto unit = [&rng]() {
+    return static_cast<double>(rng.engine()() >> 11) * 0x1.0p-53;
+  };
+  std::vector<std::string> names;
+  for (int f = 0; f < 30; ++f) names.push_back("f" + std::to_string(f));
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row(30);
+    for (int f = 0; f < 30; ++f) {
+      if (f >= 5 && f < 10) {
+        row[static_cast<size_t>(f)] = static_cast<double>(
+            static_cast<int>(unit() * static_cast<double>(f - 2)));
+      } else {
+        row[static_cast<size_t>(f)] = f == 10 ? 1.0 : unit();
+      }
+    }
+    const double score = row[0] + row[1] - row[2] + 0.2 * row[5] -
+                         0.15 * row[6] + 0.6 * unit();
+    labels.push_back(score > 0.9 ? 1 : 0);
+    rows.push_back(std::move(row));
+  }
+  auto d = Dataset::Make(names, std::move(rows), std::move(labels));
   EXPECT_TRUE(d.ok());
   return *d;
 }
@@ -219,20 +255,78 @@ TEST(RandomForestTest, ProbabilitiesAreAverages) {
 }
 
 TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
-  const Dataset d = NoisyData(400, 14);
-  ForestParams p1;
-  p1.num_trees = 16;
-  p1.num_threads = 1;
-  ForestParams p4 = p1;
-  p4.num_threads = 4;
-  RandomForestClassifier f1, f4;
-  ASSERT_TRUE(f1.Fit(d, p1, 77).ok());
-  ASSERT_TRUE(f4.Fit(d, p4, 77).ok());
-  auto r1 = f1.PredictPositiveProba(d);
-  auto r4 = f4.PredictPositiveProba(d);
-  ASSERT_TRUE(r1.ok() && r4.ok());
-  for (size_t i = 0; i < r1->size(); ++i) {
-    EXPECT_DOUBLE_EQ((*r1)[i], (*r4)[i]);
+  // NoisyData's 2 features take the full-histogram path, WideData's 30
+  // the candidate-only one; trees and the out-of-bag pass both spread
+  // over the workers.
+  for (const Dataset& d : {NoisyData(400, 14), WideData(400, 14)}) {
+    SCOPED_TRACE(std::to_string(d.num_features()) + " features");
+    ForestParams p1;
+    p1.num_trees = 16;
+    p1.num_threads = 1;
+    RandomForestClassifier f1;
+    ASSERT_TRUE(f1.Fit(d, p1, 77).ok());
+    auto r1 = f1.PredictPositiveProba(d);
+    ASSERT_TRUE(r1.ok());
+    for (const int threads : {3, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ForestParams pn = p1;
+      pn.num_threads = threads;
+      RandomForestClassifier fn;
+      ASSERT_TRUE(fn.Fit(d, pn, 77).ok());
+      EXPECT_EQ(fn.Serialize(), f1.Serialize());
+      EXPECT_EQ(fn.oob_accuracy(), f1.oob_accuracy());
+      auto rn = fn.PredictPositiveProba(d);
+      ASSERT_TRUE(rn.ok());
+      for (size_t i = 0; i < r1->size(); ++i) {
+        EXPECT_DOUBLE_EQ((*r1)[i], (*rn)[i]);
+      }
+    }
+  }
+}
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(RandomForestTest, SerializedForestsMatchPinnedDigests) {
+  // Pins the exact trees (splits, refined thresholds, leaf
+  // distributions, importances, OOB score) for every max_features rule
+  // with and without class weights: kSqrt and kLog2 take the
+  // candidate-only histogram path, kAll the full-histogram one. The
+  // digests also depend on std::uniform_int_distribution (bootstrap and
+  // feature draws), so they hold for libstdc++. They were computed with
+  // full histograms and sibling subtraction at every node, so they also
+  // pin the candidate-only path to that reference.
+  const Dataset d = WideData(600, 31);
+  struct Case {
+    MaxFeaturesRule rule;
+    bool weighted;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {MaxFeaturesRule::kSqrt, false, 0x3f4eda54f148979bULL},
+      {MaxFeaturesRule::kSqrt, true, 0xa181286cf74926deULL},
+      {MaxFeaturesRule::kLog2, false, 0xbb0d7451e36448bfULL},
+      {MaxFeaturesRule::kLog2, true, 0x6c322aebb607b173ULL},
+      {MaxFeaturesRule::kAll, false, 0xdf2bb5639e38da5fULL},
+      {MaxFeaturesRule::kAll, true, 0x14c5b69d22468115ULL},
+  };
+  for (const Case& c : cases) {
+    ForestParams params;
+    params.num_trees = 12;
+    params.max_depth = 10;
+    params.num_threads = 2;
+    params.max_features = c.rule;
+    if (c.weighted) params.class_weights = {1.0, 2.5};
+    RandomForestClassifier forest;
+    ASSERT_TRUE(forest.Fit(d, params, 41).ok());
+    EXPECT_EQ(Fnv1a(forest.Serialize()), c.digest)
+        << params.ToString() << " weighted=" << c.weighted;
   }
 }
 

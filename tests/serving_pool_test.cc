@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 
 namespace cloudsurv {
 namespace {
@@ -57,6 +58,22 @@ TEST(ThreadPoolTest, SubmitReturnsResultThroughFuture) {
   ThreadPool pool(2, 4);
   auto future = pool.Submit([]() { return 6 * 7; });
   EXPECT_EQ(future.get(), 42);
+}
+
+TEST(ThreadPoolTest, CountsATaskBeforeItsFutureIsReady) {
+  // A task is counted when a worker takes it, so its own body already
+  // sees it, and a reader right after future.get() never misses it.
+  obs::Counter* pool_tasks = obs::Registry::Default().GetCounter(
+      "cloudsurv_pool_tasks_total",
+      "Tasks started by a worker across all thread pools", "tasks");
+  ThreadPool pool(2, 4);
+  for (uint64_t i = 0; i < 100; ++i) {
+    const uint64_t total_before = pool_tasks->Value();
+    auto future = pool.Submit([&pool]() { return pool.tasks_executed(); });
+    EXPECT_EQ(future.get(), i + 1);
+    EXPECT_EQ(pool_tasks->Value() - total_before, 1u);
+    EXPECT_EQ(pool.tasks_executed(), i + 1);
+  }
 }
 
 TEST(ThreadPoolTest, BoundedQueueAppliesBackpressure) {

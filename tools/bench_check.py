@@ -39,6 +39,14 @@ claim, priced); every policy must place every database (rejected ==
 0). Relative: the naive/longevity cost and ops advantages must not
 lose more than --max-regression vs the committed baseline ratios.
 
+training_throughput: absolute fit times do not transfer between
+machines, so the gates are a ratio and a correctness check. Both forest
+fits run on one thread over the same matrix, so
+speedup_exact_to_histogram must not lose more than --max-regression vs
+the baseline (whose rows/features/trees must match the current run's).
+Absolute: grid_search.identical must hold (grid search at 1 and N
+threads scores every cell bit-identically).
+
 Coverage rules:
   - scalar rows must be present in the current output;
   - avx2 rows must be present iff the current host reports
@@ -250,6 +258,32 @@ def check_features(current, baseline, max_regression):
     return failures, summary
 
 
+def check_training(current, baseline, max_regression):
+    """Gates for the training_throughput format. Returns (failures, summary)."""
+    failures = []
+    if not current.get("grid_search", {}).get("identical", False):
+        failures.append("grid_search.identical is false (grid search at 1 "
+                        "and N threads scored some cell differently)")
+    for key in ("rows", "features", "trees"):
+        if current.get(key) != baseline.get(key):
+            failures.append(
+                f"{key} is {current.get(key)} but the baseline was measured "
+                f"at {baseline.get(key)}; the speedup ratio is only "
+                "comparable at the same shape")
+    base_speedup = baseline.get("speedup_exact_to_histogram", 0.0)
+    cur_speedup = current.get("speedup_exact_to_histogram", 0.0)
+    if base_speedup > 0.0:
+        floor = base_speedup * (1.0 - max_regression)
+        if cur_speedup < floor:
+            failures.append(
+                f"speedup regression: speedup_exact_to_histogram "
+                f"{cur_speedup:.2f}x vs baseline {base_speedup:.2f}x "
+                f"(floor {floor:.2f}x)")
+    summary = (f"training_throughput: histogram fit {cur_speedup:.2f}x "
+               f"faster than exact, grid search identical")
+    return failures, summary
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--current", required=True,
@@ -274,10 +308,11 @@ def main():
                  f"'{base_kind}' — wrong --baseline?")
 
     if kind in ("telemetry_ingest", "provisioning_policy",
-                "feature_extraction"):
+                "feature_extraction", "training_throughput"):
         check = {"telemetry_ingest": check_telemetry,
                  "provisioning_policy": check_provisioning,
-                 "feature_extraction": check_features}[kind]
+                 "feature_extraction": check_features,
+                 "training_throughput": check_training}[kind]
         failures, summary = check(current, baseline, args.max_regression)
         if failures:
             for failure in failures:
