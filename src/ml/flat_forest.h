@@ -149,7 +149,7 @@ class Column {
 /// independent blocks out over a `common::ThreadPool`. The per-block
 /// double traversal dispatches to the kernels in `ml/simd/` — an
 /// always-built scalar walk and, when the build and CPU allow it, an
-/// AVX2 kernel advancing four rows per node step (gathered loads,
+/// AVX2 kernel keeping 16 rows in flight per node step (gathered loads,
 /// vector compares, blended child-index advance); kAuto picks the best
 /// available. Compile() additionally stores each tree's nodes in
 /// breadth-first order so a tree's hot first levels occupy adjacent

@@ -18,10 +18,12 @@
 ///
 /// Two kernels exist:
 ///   - scalar: portable one-row-at-a-time walk, always built.
-///   - avx2:   4 rows per node step (gathered feature/threshold loads,
-///             `_mm256_cmp_pd` masks, blended child-index advance),
-///             compiled into its own -mavx2 translation unit and only
-///             linked when the toolchain and target support it.
+///   - avx2:   16 rows in flight per node step, as four independent
+///             4-row groups (gathered feature/threshold loads,
+///             `_mm256_cmp_pd` masks, blended child-index advance) whose
+///             dependent gather chains overlap, compiled into its own
+///             -mavx2 translation unit and only linked when the
+///             toolchain and target support it.
 ///
 /// Selection is a pure function of (requested kind, build flags, CPUID,
 /// CLOUDSURV_FORCE_SCALAR): `Resolve` maps kAuto onto the best
@@ -35,8 +37,8 @@ namespace cloudsurv::ml::simd {
 enum class TraversalKind : uint8_t {
   kAuto = 0,    ///< Best available: avx2 when compiled in + CPU support.
   kScalar = 1,  ///< Portable one-row-at-a-time kernel.
-  kAvx2 = 2,    ///< 4-rows-per-step AVX2 kernel; explicit requests fail
-                ///< with a Status when the build or CPU lacks it.
+  kAvx2 = 2,    ///< 16-rows-per-step AVX2 kernel; explicit requests
+                ///< fail with a Status when the build or CPU lacks it.
 };
 
 /// Raw pointers into a compiled forest's SoA arrays. Non-owning; valid
@@ -68,9 +70,11 @@ void ScalarTraverse(const ForestView& forest, const double* rows, size_t n,
                     double* out);
 
 #if defined(CLOUDSURV_HAVE_AVX2)
-/// AVX2 kernel (traversal_avx2.cc, built with -mavx2). Rows are walked
-/// four at a time; the ragged tail reuses ScalarTraverse. Only declared
-/// when the translation unit is part of the build.
+/// AVX2 kernel (traversal_avx2.cc, built with -mavx2). Each tree step
+/// advances four 4-row groups together (16 rows); the one to three
+/// full groups left over walk together in one loop, and the last n % 4
+/// rows reuse ScalarTraverse. Only declared when the translation unit
+/// is part of the build.
 void Avx2Traverse(const ForestView& forest, const double* rows, size_t n,
                   double* out);
 #endif

@@ -357,8 +357,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FlatForestTest, EmptySingleRowAndRaggedTailBatches) {
-  // The AVX2 kernel walks four rows per step; every n % 4 residue (and
-  // the empty batch) must come out bit-identical to the legacy path.
+  // The AVX2 kernel walks 16 rows per step and finishes the last n % 4
+  // rows with the scalar kernel; small batches of every n % 4 residue
+  // (and the empty batch) must come out bit-identical to the legacy
+  // path.
   const Dataset data = ContinuousData(64, 67);
   const auto forest = FitForest(data, SplitAlgorithm::kExact);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
@@ -385,6 +387,54 @@ TEST(FlatForestTest, EmptySingleRowAndRaggedTailBatches) {
               << i;
         }
       }
+    }
+  }
+}
+
+TEST(FlatForestTest, EveryBatchSizeUpTo48MatchesLegacy) {
+  // n = 0..48 covers every residue of the AVX2 kernel's 16-row step:
+  // full steps, one to three leftover 4-row groups walked together,
+  // and the scalar tail. A histogram-trained forest exercises the
+  // classifier's strided two-class leaves, a GBDT the regressor's
+  // contiguous scalar leaves.
+  const Dataset data = ContinuousData(48, 79);
+  const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
+  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
+  ASSERT_EQ(flat.out_dim(), 2u);
+  GbdtParams gbdt_params;
+  gbdt_params.num_rounds = 20;
+  gbdt_params.max_depth = 4;
+  GradientBoostedTreesClassifier gbdt;
+  ASSERT_OK(gbdt.Fit(data, gbdt_params, /*seed=*/83));
+  ASSERT_OK_AND_ASSIGN(const FlatForest flat_gbdt, FlatForest::Compile(gbdt));
+  ASSERT_EQ(flat_gbdt.out_dim(), 1u);
+  const std::vector<double> dense = DenseRows(data);
+
+  for (const simd::TraversalKind kind : AvailableKinds()) {
+    FlatForest::BatchOptions options;
+    options.traversal = kind;
+    for (size_t n = 0; n <= data.num_rows(); ++n) {
+      std::vector<double> out(n * 2 + 1, -1.0);
+      ASSERT_OK(flat.PredictProbaBatch(dense.data(), n, out.data(), options));
+      for (size_t i = 0; i < n; ++i) {
+        const auto legacy = forest.PredictProba(data.row(i));
+        for (size_t c = 0; c < 2; ++c) {
+          EXPECT_EQ(out[i * 2 + c], legacy[c])
+              << "forest kind " << simd::KindName(kind) << " n " << n
+              << " row " << i;
+        }
+      }
+      EXPECT_EQ(out[n * 2], -1.0) << "forest wrote past row " << n;
+
+      std::vector<double> gbdt_out(n + 1, -1.0);
+      ASSERT_OK(flat_gbdt.PredictProbaBatch(dense.data(), n, gbdt_out.data(),
+                                            options));
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(gbdt_out[i], gbdt.PredictProbability(data.row(i)))
+            << "gbdt kind " << simd::KindName(kind) << " n " << n << " row "
+            << i;
+      }
+      EXPECT_EQ(gbdt_out[n], -1.0) << "gbdt wrote past row " << n;
     }
   }
 }

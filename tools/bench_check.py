@@ -15,7 +15,10 @@ configuration's speedup_vs_legacy is measured against the same
 configuration in the committed baseline, and the build fails if any
 configuration lost more than --max-regression (default 20%) of its
 baseline speedup. Correctness gates are absolute: bit_identical and
-startup.first_score_identical must both hold.
+startup.first_score_identical must both hold. A same-run gate needs no
+baseline: at threads=1 the avx2 kernel's rows_per_sec must be at least
+the scalar kernel's for every batch size (skipped when the host has no
+AVX2 or CLOUDSURV_FORCE_SCALAR is set).
 
 telemetry_ingest: the columnar-vs-struct ingest ratio must not lose
 more than --max-regression vs the baseline ratio; the columnar
@@ -348,6 +351,19 @@ def main():
     if not avx2_available and "avx2" in kinds_seen:
         failures.append("avx2 runs present but simd.avx2_available is "
                         "false — output is inconsistent")
+
+    # Same-run gate: a ratio of two kernels measured on this host, so it
+    # needs no baseline and transfers between machines.
+    if avx2_available and not forced_scalar:
+        for (batch_rows, threads, traversal), run in sorted(cur_flat.items()):
+            if threads != 1 or traversal != "avx2":
+                continue
+            scalar = cur_flat.get((batch_rows, 1, "scalar"))
+            if scalar and run["rows_per_sec"] < scalar["rows_per_sec"]:
+                failures.append(
+                    f"avx2 slower than scalar at batch_rows={batch_rows} "
+                    f"threads=1: {run['rows_per_sec']:.0f} vs "
+                    f"{scalar['rows_per_sec']:.0f} rows/s")
 
     # Ratio regression per configuration.
     for key, base_run in sorted(base_flat.items()):
