@@ -5,9 +5,12 @@
 //
 // The replay is the serve-sim loop: ingest in timestamp order, poll on
 // a fixed simulated cadence (CLOUDSURV_FLUSH_DAYS, default 7), drain at
-// end-of-stream. All scoring work — snapshot materialization and model
-// inference — happens on the pool, so the multi-thread run exercises
-// the engine's actual parallel path.
+// end-of-stream. A poll appends and scores shard batches on the
+// engine's pool workers and on the polling thread, so `single_thread`
+// is one pool worker plus the polling thread and `multi_thread` is N
+// workers plus the polling thread. Both runs must score the same
+// databases with the same confident fraction; tools/bench_check.py
+// gates that (the "bench" field names the format).
 
 #include <chrono>
 #include <cstdio>
@@ -143,6 +146,7 @@ int main() {
   const RunResult multi = Replay(*store, model, threads, flush_days);
 
   std::printf("{\n");
+  std::printf("  \"bench\": \"serving_throughput\",\n");
   std::printf("  \"num_events\": %zu,\n", store->num_events());
   std::printf("  \"num_databases\": %zu,\n", store->num_databases());
   std::printf("  \"flush_interval_days\": %.1f,\n", flush_days);

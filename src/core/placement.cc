@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <unordered_map>
 
@@ -21,12 +22,17 @@ enum class ReplayEventKind { kRelease = 0, kResize = 1, kPlace = 2 };
 struct ReplayEvent {
   Timestamp ts;
   ReplayEventKind kind;
+  /// Sort rank of this event's database within its second: the kind of
+  /// the database's first event in that second (BuildReplayEvents).
+  ReplayEventKind phase = ReplayEventKind::kRelease;
   telemetry::DatabaseId db;
   int dtus = 0;       ///< For kPlace: initial DTUs. For kResize: new DTUs.
   Pool pool = Pool::kGeneral;
   /// For kRelease: true when the tenant really dropped inside the
   /// window (vs the synthetic end-of-window release of a survivor).
   bool observed_drop = false;
+  /// Position in its database's lifecycle (place 0, resizes, release).
+  uint32_t seq = 0;
 };
 
 struct Server {
@@ -39,11 +45,17 @@ struct Server {
 /// replays share. Ordering at equal timestamps: one database's own
 /// lifecycle stays causal (place, resize, release — zero-lifetime
 /// databases drop in the second they are created); across databases,
-/// capacity is freed before new placements consume it.
+/// capacity is freed before new placements consume it. A database with
+/// several events in one second keeps them together, ranked by its
+/// first one: a database placed and dropped in the same second ranks
+/// with that second's placements. The key (ts, phase, db, seq) is a
+/// strict total order; comparing kinds across databases directly is
+/// not transitive once one database has two events in a second.
 std::vector<ReplayEvent> BuildReplayEvents(
     const telemetry::TelemetryStore& store) {
   std::vector<ReplayEvent> events;
   for (const auto& record : store.databases()) {
+    const size_t first = events.size();
     ReplayEvent place;
     place.ts = record.created_at;
     place.kind = ReplayEventKind::kPlace;
@@ -68,17 +80,21 @@ std::vector<ReplayEvent> BuildReplayEvents(
     release.observed_drop =
         record.dropped_at.has_value() && *record.dropped_at <= store.window_end();
     events.push_back(release);
+    // The lifecycle is in time order, so each second's events of this
+    // database are adjacent and the first of them sets their phase.
+    for (size_t i = first; i < events.size(); ++i) {
+      events[i].seq = static_cast<uint32_t>(i - first);
+      events[i].phase = i > first && events[i - 1].ts == events[i].ts
+                            ? events[i - 1].phase
+                            : events[i].kind;
+    }
   }
   std::sort(events.begin(), events.end(),
             [](const ReplayEvent& a, const ReplayEvent& b) {
               if (a.ts != b.ts) return a.ts < b.ts;
-              if (a.db == b.db) {
-                return static_cast<int>(a.kind) > static_cast<int>(b.kind);
-              }
-              if (a.kind != b.kind) {
-                return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-              }
-              return a.db < b.db;
+              if (a.phase != b.phase) return a.phase < b.phase;
+              if (a.db != b.db) return a.db < b.db;
+              return a.seq < b.seq;
             });
   return events;
 }

@@ -68,9 +68,10 @@ enum class HealthState {
 const char* HealthStateToString(HealthState state);
 
 /// Point-in-time engine counters. Latency quantiles cover per-database
-/// scoring (feature extraction + forest inference) inside worker
-/// threads, in microseconds: one Assess() call, or a batched
-/// AssessMany call's time amortized over its rows.
+/// scoring (feature extraction + forest inference) inside the claiming
+/// threads (pool workers and the polling thread), in microseconds: one
+/// Assess() call, or a batched AssessMany call's time amortized over
+/// its rows.
 ///
 /// This struct is a *view*: the authoritative state lives in the
 /// process-wide obs::Registry as `cloudsurv_engine_*` series labelled
@@ -114,17 +115,20 @@ struct EngineMetrics {
 /// Data flow per poll cycle:
 ///   producers --Ingest()--> EventIngestBuffer (mutex-striped shards,
 ///                           keyed by subscription)
-///   Poll(now) drains the buffer into per-shard live TelemetryStores,
+///   Poll(now), on the polling thread, takes the staged events,
 ///   registers creations with the MaturityTracker (min-heap on
-///   created_at + observe_days) and cancels databases dropped before
-///   maturing; then at most num_threads ThreadPool tasks claim runs of
-///   the shards holding newly matured databases, in shard order, and
-///   score them against the registry's current model snapshot. When no
-///   fault injector is configured and a shard's live store is still
-///   readable() (ordered streaming ingest), the task reads the live
-///   columnar store directly — no event copy, no Finalize() barrier —
-///   and scores all such shards of the run in one AssessMany call.
-///   Otherwise the shard, claimed alone, falls back to materializing a
+///   created_at + observe_days), cancels databases dropped before
+///   maturing and takes the newly matured ones. Each shard with staged
+///   events or matured databases becomes one batch. The polling thread
+///   and at most num_threads ThreadPool tasks then claim runs of the
+///   batches in shard order. A claim first appends each batch's staged
+///   events to its shard's live TelemetryStore, then scores the batch's
+///   matured databases against the registry's current model snapshot.
+///   When no fault injector is configured and a shard's live store is
+///   still readable() after the append (ordered streaming ingest), the
+///   claim reads the live columnar store directly — no event copy, no
+///   Finalize() barrier — and scores all such shards of the run in one
+///   AssessMany call. Otherwise the shard falls back to materializing a
 ///   finalized snapshot store from its event log (the path fault plans
 ///   target via fault::Site::kSnapshotBuild).
 ///
@@ -143,6 +147,8 @@ class ScoringEngine {
  public:
   struct Options {
     size_t num_shards = 16;
+    /// Pool workers. A poll appends and scores on these workers plus
+    /// the polling thread, so it runs on num_threads + 1 threads.
     size_t num_threads = 4;
     /// Bound on queued scoring tasks; Poll() blocks (backpressure) when
     /// the pool falls behind.
@@ -253,9 +259,12 @@ class ScoringEngine {
     std::optional<telemetry::TelemetryStore> store;
   };
 
-  /// The databases of one shard that matured in this cycle.
+  /// One shard's work in this cycle: the events staged for it since
+  /// the last cycle, which the claim appends to the shard's store before
+  /// anything reads it, and its databases that matured.
   struct ShardBatch {
     size_t shard = 0;
+    std::vector<telemetry::Event> staged;
     std::vector<PendingDatabase> due;
   };
   struct ShardBatchResult;
@@ -266,23 +275,28 @@ class ScoringEngine {
     ShardBatchResult* result = nullptr;
   };
 
-  /// Moves staged batches into shard logs and updates the tracker.
-  void AbsorbStagedEvents();
+  /// Takes the staged events, one vector per shard, and registers their
+  /// creations and drops with the tracker. Polling thread only.
+  std::vector<std::vector<telemetry::Event>> TrackStagedEvents();
 
-  /// Scores `due`: grouped by shard, the shard batches claimed in runs
-  /// by at most num_threads pool tasks (PollWork::Claim).
+  /// Appends `staged` and scores `due`, both grouped by shard into
+  /// batches that the polling thread and at most num_threads pool tasks
+  /// claim in runs (PollWork::Claim).
   Result<std::vector<ScoredDatabase>> ScoreDue(
+      std::vector<std::vector<telemetry::Event>> staged,
       std::vector<PendingDatabase> due);
 
-  /// One pool task: scores the runs of batches it claims from `work`
-  /// until every batch is claimed.
+  /// One claimer (a pool task or the polling thread): appends and
+  /// scores the runs of batches it claims from `work` until every batch
+  /// is claimed.
   struct PollWork;
   void ScoreClaims(PollWork& work);
 
-  /// Scores every shard batch of `group` into the matching `results`.
-  /// Each shard keeps its own read store, fault sites and deadline
-  /// clock; the direct-read shards share one AssessMany call.
-  void ScoreShardGroup(std::span<const ShardBatch> group,
+  /// Appends the staged events of every shard batch of `group`, then
+  /// scores the batches into the matching `results`. Each shard keeps
+  /// its own read store, fault sites and deadline clock; the
+  /// direct-read shards share one AssessMany call.
+  void ScoreShardGroup(std::span<ShardBatch> group,
                        std::span<ShardBatchResult> results);
 
   /// Scores the batches of `shards` with one AssessMany call.
@@ -307,6 +321,7 @@ class ScoringEngine {
   /// Runs one poll cycle (shared by Poll and Drain) and applies the
   /// health-state transitions it observed.
   Result<std::vector<ScoredDatabase>> RunCycle(
+      std::vector<std::vector<telemetry::Event>> staged,
       std::vector<PendingDatabase> due);
 
   /// Scores one pending database with the weighted-random fallback.
@@ -356,10 +371,10 @@ class ScoringEngine {
   ModelRegistry registry_;
   ThreadPool pool_;
 
-  /// Shard logs are touched only by the Poll()/Drain() driver thread
-  /// and by the scoring task that claimed the shard within one poll
-  /// (which only reads; the driver blocks on the batch before mutating
-  /// again), so they need no lock of their own.
+  /// Within one poll a shard log is touched only by the claim that
+  /// took its batch (which appends, then reads), and the driver thread
+  /// waits for every claim before the poll returns, so the logs need no
+  /// lock of their own.
   std::vector<ShardLog> shard_logs_;
 
   EngineSeries series_;

@@ -161,6 +161,39 @@ TEST(PlacementTest, ZeroLifetimeDatabaseDoesNotLeak) {
   EXPECT_EQ(report->peak_active_servers, 1u);
 }
 
+TEST(PlacementTest, SecondsMixingLifecyclesReplayInOneTotalOrder) {
+  // One second holds every same-second pattern at once: a release, a
+  // database resized and dropped, 20 placements and 20 zero-lifetime
+  // databases whose ids are above the placements'. Comparing kinds
+  // across databases is not transitive here (a flash database's place
+  // precedes its release, which precedes every placement, which
+  // precedes the flash place by id); the replay must still free R and Z
+  // first, place the long tenants in id order, then place and free each
+  // flash database on one extra server.
+  StoreBuilder b;
+  const double t = 1.0;
+  b.AddDatabase(1, 0.0, t, "r", "s", SloIndexByName("S3"));   // 100 DTUs
+  const auto z = b.AddDatabase(1, 0.0, t, "z", "s", SloIndexByName("S2"));
+  b.AddSloChange(z, 1, t, SloIndexByName("S2"), SloIndexByName("S3"));
+  for (int i = 0; i < 20; ++i) {
+    b.AddDatabase(1, t, 10.0, "long", "s", SloIndexByName("S3"));
+  }
+  for (int i = 0; i < 20; ++i) {
+    b.AddDatabase(1, t, t, "flash", "s", SloIndexByName("S3"));
+  }
+  auto store = b.Finish();
+  ClusterConfig config;
+  config.server_capacity_dtus = 100;
+  auto report = SimulatePlacement(store, {}, config);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->placements, 42u);
+  EXPECT_EQ(report->rejected, 0u);
+  // R and Z's servers are reused by the first two long tenants.
+  EXPECT_EQ(report->servers_used, 21u);
+  EXPECT_EQ(report->peak_active_servers, 21u);
+  EXPECT_EQ(report->peak_occupied_dtus, 2100);
+}
+
 // Golden-text checks: ToString()/ToJson() are scraped by scripts and
 // quoted in docs/provisioning.md, so the exact format is contract.
 TEST(PlacementTest, PlacementReportGoldenToString) {

@@ -1,5 +1,6 @@
 #include "serving/scoring_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -275,17 +276,23 @@ TEST(ScoringEngineTest, IncrementalDailyPollsMatchBatchAssess) {
   EXPECT_GT(engine.Metrics().polls, 100u);  // five-month window, daily
 }
 
+obs::Counter* PoolTasks() {
+  return obs::Registry::Default().GetCounter(
+      "cloudsurv_pool_tasks_total",
+      "Tasks started by a worker across all thread pools", "tasks");
+}
+
 TEST(ScoringEngineTest, StreamedMatchesPerRowAssessAtEveryShape) {
   // Differential check of the grouped scoring path: every (threads,
   // shards) shape streams the region with daily polls and must reproduce
-  // per-row Assess on the final store field by field, while submitting at
-  // most one pool task per worker per poll.
+  // per-row Assess on the final store field by field. The polling thread
+  // claims runs too, so every poll submits at most num_threads pool
+  // tasks, and none when it has one batch (one shard) or nothing to do.
+  // With one worker and several shards, the worker still gets claims.
   auto service = Service();
   const auto baseline = BatchBaseline(*service);
   ASSERT_FALSE(baseline.empty());
-  obs::Counter* pool_tasks = obs::Registry::Default().GetCounter(
-      "cloudsurv_pool_tasks_total",
-      "Tasks started by a worker across all thread pools", "tasks");
+  obs::Counter* pool_tasks = PoolTasks();
   const Timestamp day = telemetry::kSecondsPerDay;
   for (const size_t threads : {1u, 2u, 4u}) {
     for (const size_t shards : {1u, 3u, 16u}) {
@@ -296,31 +303,38 @@ TEST(ScoringEngineTest, StreamedMatchesPerRowAssessAtEveryShape) {
       options.num_shards = shards;
       const uint64_t tasks_before = pool_tasks->Value();
       std::vector<ScoredDatabase> scored;
-      uint64_t polls = 0;
       {
         ScoringEngine engine(RegionContext::FromStore(Store()), options);
         ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+        // A task is counted when a worker takes it, so every task of a
+        // poll is counted by the time the poll returns.
+        auto poll = [&](auto&& run) {
+          const uint64_t before = pool_tasks->Value();
+          Result<std::vector<ScoredDatabase>> batch = run();
+          ASSERT_TRUE(batch.ok()) << batch.status();
+          const uint64_t tasks = pool_tasks->Value() - before;
+          EXPECT_LE(tasks, shards == 1 ? 0u : threads);
+          for (auto& s : *batch) scored.push_back(std::move(s));
+        };
         Timestamp next_poll = Store().window_start() + day;
         for (const Event& e : Store().events()) {
           while (e.timestamp > next_poll) {
-            auto batch = engine.Poll(next_poll);
-            ASSERT_TRUE(batch.ok()) << batch.status();
-            for (auto& s : *batch) scored.push_back(std::move(s));
+            poll([&] { return engine.Poll(next_poll); });
+            const uint64_t before = pool_tasks->Value();
+            auto idle = engine.Poll(next_poll);
+            ASSERT_TRUE(idle.ok()) << idle.status();
+            EXPECT_TRUE(idle->empty());
+            EXPECT_EQ(pool_tasks->Value(), before);
             next_poll += day;
           }
           ASSERT_TRUE(engine.Ingest(e).ok());
         }
-        auto rest = engine.Drain();
-        ASSERT_TRUE(rest.ok()) << rest.status();
-        // Read while the workers still run: a task is counted when a
-        // worker takes it, before its future is ready.
+        poll([&] { return engine.Drain(); });
         const uint64_t tasks = pool_tasks->Value() - tasks_before;
-        for (auto& s : *rest) scored.push_back(std::move(s));
+        EXPECT_EQ(tasks > 0, shards > 1);
         const EngineMetrics metrics = engine.Metrics();
-        polls = metrics.polls;
         EXPECT_EQ(metrics.databases_scored, baseline.size());
         EXPECT_EQ(metrics.snapshots_built, 0u);  // ordered: direct reads
-        EXPECT_LE(tasks, polls * threads);
       }
 
       ASSERT_EQ(scored.size(), baseline.size());
@@ -429,9 +443,7 @@ TEST(ScoringEngineTest, SnapshotShardsMatchPerRowAssess) {
   auto service = Service();
   const auto baseline = BatchBaseline(*service);
   ASSERT_FALSE(baseline.empty());
-  obs::Counter* pool_tasks = obs::Registry::Default().GetCounter(
-      "cloudsurv_pool_tasks_total",
-      "Tasks started by a worker across all thread pools", "tasks");
+  obs::Counter* pool_tasks = PoolTasks();
   // Never fires: output-neutral, but the injector forces snapshots.
   fault::FaultInjector injector(
       ParsePlan("seed 1\nfault pool.task delay every=1000000000 delay_us=1\n"));
@@ -464,6 +476,128 @@ TEST(ScoringEngineTest, SnapshotShardsMatchPerRowAssess) {
     EXPECT_EQ(metrics.snapshots_built, options.num_shards);
     EXPECT_EQ(metrics.polls, 1u);
   }
+}
+
+TEST(ScoringEngineTest, PollWithNothingDueStillAppendsStagedEvents) {
+  // The first day's events hold creations but nothing matures before
+  // day two. The poll after day one must still claim every shard with
+  // staged events for the append alone: a lost append leaves those
+  // creations out of the live stores, and Drain would then skip them.
+  auto service = Service();
+  const auto baseline = BatchBaseline(*service);
+  std::vector<Event> events;
+  for (const Event& e : Store().events()) events.push_back(e);
+  const Timestamp day_one =
+      events.front().timestamp + telemetry::kSecondsPerDay;
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ScoringEngine::Options options;
+    options.num_threads = threads;
+    ScoringEngine engine(RegionContext::FromStore(Store()), options);
+    ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+    size_t next = 0;
+    while (next < events.size() && events[next].timestamp <= day_one) {
+      ASSERT_TRUE(engine.Ingest(events[next++]).ok());
+    }
+    auto nothing_due = engine.Poll(day_one);
+    ASSERT_TRUE(nothing_due.ok()) << nothing_due.status();
+    EXPECT_TRUE(nothing_due->empty());
+    const EngineMetrics after_first = engine.Metrics();
+    EXPECT_EQ(after_first.events_flushed, next);
+    EXPECT_GT(after_first.databases_tracked, 0u);
+    EXPECT_EQ(after_first.databases_scored, 0u);
+
+    while (next < events.size()) {
+      ASSERT_TRUE(engine.Ingest(events[next++]).ok());
+    }
+    auto scored = engine.Drain();
+    ASSERT_TRUE(scored.ok()) << scored.status();
+    ExpectMatchesBaseline(*scored, baseline);
+    EXPECT_EQ(engine.Metrics().databases_skipped, 0u);
+  }
+}
+
+TEST(ScoringEngineTest, AppendThatBreaksOrderScoresOffSnapshotInSamePoll) {
+  // One out-of-order pair, ingested just before the poll at which a
+  // surviving database matures. That poll's append poisons the one
+  // shard's live store out of readable(), so the same poll must score
+  // the shard off a snapshot, and every assessment still equals per-row
+  // Assess on the final store.
+  auto service = Service();
+  const auto baseline = BatchBaseline(*service);
+  const Timestamp day = telemetry::kSecondsPerDay;
+  const Timestamp start = Store().window_start();
+
+  // A surviving, assessable database from the middle of the window, and
+  // the daily poll at which it matures.
+  std::vector<DatabaseId> ids;
+  for (const auto& record : Store().databases()) {
+    if (baseline.count(record.id) > 0 && !record.dropped_at.has_value()) {
+      ids.push_back(record.id);
+    }
+  }
+  ASSERT_FALSE(ids.empty());
+  const DatabaseId target = ids[ids.size() / 2];
+  const auto record = Store().FindDatabase(target);
+  ASSERT_TRUE(record.ok());
+  const Timestamp matures = (*record).created_at + 2 * day;
+  const Timestamp poll_at = start + ((matures - start + day - 1) / day) * day;
+
+  // Swap two events of different seconds that both arrive in the day
+  // before that poll.
+  std::vector<Event> events;
+  for (const Event& e : Store().events()) events.push_back(e);
+  size_t swap_at = events.size();
+  for (size_t i = 0; i + 1 < events.size(); ++i) {
+    if (events[i].timestamp > poll_at - day &&
+        events[i].timestamp < events[i + 1].timestamp &&
+        events[i + 1].timestamp <= poll_at) {
+      swap_at = i;
+      break;
+    }
+  }
+  ASSERT_LT(swap_at, events.size());
+  std::swap(events[swap_at], events[swap_at + 1]);
+
+  ScoringEngine::Options options;
+  options.num_shards = 1;
+  options.num_threads = 2;
+  ScoringEngine engine(RegionContext::FromStore(Store()), options);
+  ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+  std::vector<ScoredDatabase> scored;
+  bool target_polled = false;
+  Timestamp next_poll = start + day;
+  auto poll = [&](Timestamp now) {
+    const uint64_t snapshots_before = engine.Metrics().snapshots_built;
+    auto batch = engine.Poll(now);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    const uint64_t snapshots_after = engine.Metrics().snapshots_built;
+    if (now < poll_at) {
+      EXPECT_EQ(snapshots_after, 0u);
+    } else if (now == poll_at) {
+      EXPECT_EQ(snapshots_before, 0u);
+      EXPECT_EQ(snapshots_after, 1u);
+      bool has_target = false;
+      for (const ScoredDatabase& s : *batch) {
+        has_target = has_target || s.database_id == target;
+      }
+      EXPECT_TRUE(has_target) << "db " << target << " not scored at its poll";
+      target_polled = true;
+    }
+    for (auto& s : *batch) scored.push_back(std::move(s));
+  };
+  for (const Event& e : events) {
+    while (e.timestamp > next_poll) {
+      poll(next_poll);
+      next_poll += day;
+    }
+    ASSERT_TRUE(engine.Ingest(e).ok());
+  }
+  auto rest = engine.Drain();
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  for (auto& s : *rest) scored.push_back(std::move(s));
+  EXPECT_TRUE(target_polled);
+  ExpectMatchesBaseline(scored, baseline);
 }
 
 /// The §4 weighted-random baseline, drawn exactly the way the engine's

@@ -50,6 +50,13 @@ the baseline (whose rows/features/trees must match the current run's).
 Absolute: grid_search.identical must hold (grid search at 1 and N
 threads scores every cell bit-identically).
 
+serving_throughput: absolute gates only, so no baseline is read.
+The 1-thread and N-thread replays of the same region must score the
+same number of databases (more than zero) with the same
+confident_fraction; a thread count that changes what is scored is a
+bug. Timing is not gated: absolute events/sec does not transfer
+between machines, and the N-thread speedup depends on the host's cores.
+
 Coverage rules:
   - scalar rows must be present in the current output;
   - avx2 rows must be present iff the current host reports
@@ -287,24 +294,57 @@ def check_training(current, baseline, max_regression):
     return failures, summary
 
 
+def check_serving(current):
+    """Gates for the serving_throughput format. Returns (failures, summary)."""
+    failures = []
+    single = current.get("single_thread", {})
+    multi = current.get("multi_thread", {})
+    scored = single.get("scored", 0)
+    if scored <= 0:
+        failures.append("single_thread scored no databases")
+    for key in ("scored", "confident_fraction"):
+        if single.get(key) != multi.get(key):
+            failures.append(
+                f"{key} differs between single_thread ({single.get(key)}) "
+                f"and multi_thread at {multi.get('threads')} threads "
+                f"({multi.get(key)})")
+    summary = (f"serving_throughput: {scored} databases scored, confident "
+               f"fraction {single.get('confident_fraction')}, equal at 1 "
+               f"and {multi.get('threads')} threads")
+    return failures, summary
+
+
+def report(failures, summary):
+    if failures:
+        for failure in failures:
+            print(f"bench_check: FAIL: {failure}", file=sys.stderr)
+        sys.exit(1)
+    print(f"bench_check: OK ({summary})")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--current", required=True,
                     help="bench JSON produced by this run")
     ap.add_argument("--baseline",
                     default="bench/baselines/inference_throughput.json",
-                    help="committed baseline JSON")
+                    help="committed baseline JSON (not read for "
+                         "serving_throughput)")
     ap.add_argument("--max-regression", type=float, default=0.20,
                     help="maximum allowed fractional speedup loss vs "
                          "baseline (default 0.20)")
     args = ap.parse_args()
 
     current = load(args.current)
+    kind = current.get("bench", "inference_throughput")
+    if kind == "serving_throughput":
+        report(*check_serving(current))
+        return
+
     baseline = load(args.baseline)
     failures = []
     notes = []
 
-    kind = current.get("bench", "inference_throughput")
     base_kind = baseline.get("bench", "inference_throughput")
     if kind != base_kind:
         sys.exit(f"bench_check: current is '{kind}' but baseline is "
@@ -316,12 +356,7 @@ def main():
                  "provisioning_policy": check_provisioning,
                  "feature_extraction": check_features,
                  "training_throughput": check_training}[kind]
-        failures, summary = check(current, baseline, args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"bench_check: FAIL: {failure}", file=sys.stderr)
-            sys.exit(1)
-        print(f"bench_check: OK ({summary})")
+        report(*check(current, baseline, args.max_regression))
         return
 
     # Correctness gates: absolute, never waived.
